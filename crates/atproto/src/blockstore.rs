@@ -9,8 +9,8 @@
 //!
 //! * [`MemStore`] — the original in-memory map, still the default.
 //! * [`PagedStore`] — blocks are appended to fixed-size *pages*; an LRU of
-//!   resident pages bounds memory and cold pages spill to a per-store
-//!   directory on disk. Every block read back from disk is re-hashed and
+//!   resident pages bounds memory and cold pages are appended to one spill
+//!   segment file per store. Every block read back from disk is re-hashed and
 //!   verified against its CID, so a corrupted spill file can never feed bad
 //!   bytes into the pipeline (corrupt blocks read as absent and are
 //!   counted).
@@ -43,7 +43,9 @@ use crate::cid::{Cid, CODEC_DAG_CBOR};
 use crate::error::{AtError, Result};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,6 +67,12 @@ pub struct StoreStats {
     pub spill_loads: u64,
     /// Blocks that failed CID verification on read-back.
     pub corrupt_reads: u64,
+    /// Failed spill writes: pages that stayed resident instead, and
+    /// abandoned compaction rewrites.
+    pub spill_write_failures: u64,
+    /// Page loads whose spill record could not be read back; the page's
+    /// blocks read as absent.
+    pub spill_read_failures: u64,
     /// Reads served from a write-back cache's dirty buffer.
     pub writeback_hits: u64,
     /// Reads that fell through a write-back cache to its backend.
@@ -87,6 +95,8 @@ impl StoreStats {
         self.spill_writes += other.spill_writes;
         self.spill_loads += other.spill_loads;
         self.corrupt_reads += other.corrupt_reads;
+        self.spill_write_failures += other.spill_write_failures;
+        self.spill_read_failures += other.spill_read_failures;
         self.writeback_hits += other.writeback_hits;
         self.writeback_misses += other.writeback_misses;
         self.writeback_flushes += other.writeback_flushes;
@@ -103,6 +113,13 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// Fetch a block's bytes. Returns owned bytes because a disk-backed
     /// store may have to page them in.
     fn get(&self, cid: &Cid) -> Option<Vec<u8>>;
+
+    /// Fetch several blocks at once, answers in `cids` order: the bulk read
+    /// of an export. [`PagedStore`] reads each spilled page once per call
+    /// rather than once per block, and leaves its resident set as it was.
+    fn get_many(&self, cids: &[Cid]) -> Vec<Option<Vec<u8>>> {
+        cids.iter().map(|cid| self.get(cid)).collect()
+    }
 
     /// Insert a block. Returns `true` when the block was newly inserted,
     /// `false` when the CID was already present (the bytes are dropped —
@@ -317,7 +334,7 @@ static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Per-process token mixed into the *default* spill root. `STORE_SEQ` only
 /// uniquifies store directories within one process and PIDs get recycled,
 /// so two processes sharing a bare `$TMPDIR/bsky-blockstore` root could end
-/// up reading each other's page files (the CID check would drop them, but
+/// up reading each other's spill files (the CID check would drop them, but
 /// silently, as corrupt reads). The token makes the default root unique per
 /// process even under PID reuse; an explicit `--spill-dir` is left alone.
 static PROCESS_TOKEN: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
@@ -357,11 +374,13 @@ struct Page {
     blocks: Option<BTreeMap<Cid, Vec<u8>>>,
     /// Logical bytes of the page's *live* blocks (index-reachable).
     live_bytes: usize,
-    /// Bytes of block payloads in the on-disk file (`0`: no file). May
-    /// exceed `live_bytes` when blocks were deleted after the spill — the
-    /// garbage stays on disk until [`PagedStore::compact`].
+    /// Bytes of block payloads in the page's spill record (`0`: none).
+    /// May exceed `live_bytes` when blocks were deleted after the spill —
+    /// the garbage stays on disk until [`PagedStore::compact`].
     file_bytes: usize,
-    /// Whether the on-disk file covers every live block of this page.
+    /// Where the page's record sits in the spill segment: offset, length.
+    extent: (u64, usize),
+    /// Whether the spill record covers every live block of this page.
     on_disk: bool,
 }
 
@@ -372,9 +391,46 @@ impl Page {
             blocks: Some(BTreeMap::new()),
             live_bytes: 0,
             file_bytes: 0,
+            extent: (0, 0),
             on_disk: false,
         }
     }
+}
+
+/// The one spill file of a store: page records appended one after
+/// another. Creating a file costs far more than appending to an open one,
+/// so a store spills into a single segment rather than a file per page.
+const SEGMENT_FILE: &str = "pages.bin";
+
+/// Serialise a page's blocks as a spill record, `cid ‖ len (u32 LE) ‖
+/// bytes` per block. Returns the record and its payload bytes.
+fn encode_page(blocks: &BTreeMap<Cid, Vec<u8>>) -> (Vec<u8>, usize) {
+    let mut out = Vec::new();
+    let mut payload = 0usize;
+    for (cid, bytes) in blocks {
+        out.extend_from_slice(&cid.to_bytes());
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+        payload += bytes.len();
+    }
+    (out, payload)
+}
+
+/// Append a record to a file, returning the offset it starts at.
+fn append_record(path: &Path, record: &[u8]) -> std::io::Result<u64> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    let offset = file.metadata()?.len();
+    file.write_all(record)?;
+    Ok(offset)
+}
+
+/// Read the record at `(offset, length)` of a file.
+fn read_record(path: &Path, (offset, len): (u64, usize)) -> std::io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut raw = vec![0; len];
+    file.read_exact(&mut raw)?;
+    Ok(raw)
 }
 
 #[derive(Debug)]
@@ -395,6 +451,8 @@ struct Paged {
     spill_writes: u64,
     spill_loads: u64,
     corrupt_reads: u64,
+    spill_write_failures: u64,
+    spill_read_failures: u64,
 }
 
 /// The paged disk-spill backend: blocks append to an open page; sealed
@@ -434,99 +492,140 @@ impl PagedStore {
                 spill_writes: 0,
                 spill_loads: 0,
                 corrupt_reads: 0,
+                spill_write_failures: 0,
+                spill_read_failures: 0,
             }),
         }
     }
 
-    /// Rewrite spill files that accumulated dead blocks (deleted after the
-    /// spill), dropping the garbage. Returns the on-disk bytes reclaimed.
+    /// Rewrite the spill segment without the blocks deleted after they
+    /// spilled. The new segment is written beside the old one and renamed
+    /// over it, so a failed write leaves the store as it was. Returns the
+    /// payload bytes reclaimed.
     pub fn compact(&mut self) -> usize {
         let inner = self.inner.get_mut();
-        let mut reclaimed = 0usize;
-        let ids: Vec<u32> = inner.pages.keys().copied().collect();
-        for id in ids {
-            let (spilled, live, file) = {
-                let page = &inner.pages[&id];
-                (page.blocks.is_none(), page.live_bytes, page.file_bytes)
-            };
-            if !spilled || live >= file {
-                continue;
-            }
-            if live == 0 {
-                let _ = std::fs::remove_file(inner.page_path(id));
-                reclaimed += file;
-                if let Some(page) = inner.pages.get_mut(&id) {
-                    page.file_bytes = 0;
-                    page.on_disk = false;
-                    page.blocks = Some(BTreeMap::new());
-                }
-                continue;
-            }
-            // Load (verified), filter to live blocks, rewrite in place.
-            let blocks = inner.load_page(id);
-            let page = inner.pages.get_mut(&id).expect("page exists");
-            page.blocks = Some(blocks);
-            page.on_disk = false;
-            reclaimed += file - live;
-            inner.spill(id);
+        let spilled: Vec<u32> = inner
+            .pages
+            .iter()
+            .filter(|(_, page)| page.blocks.is_none())
+            .map(|(id, _)| *id)
+            .collect();
+        // A record that lost blocks to a failed read holds less than the
+        // page's live bytes; it has no garbage to drop.
+        let garbage: usize = spilled
+            .iter()
+            .map(|id| {
+                inner.pages[id]
+                    .file_bytes
+                    .saturating_sub(inner.pages[id].live_bytes)
+            })
+            .sum();
+        let Some(segment) = inner.dir.as_ref().map(|dir| dir.join(SEGMENT_FILE)) else {
+            return 0;
+        };
+        if garbage == 0 {
+            return 0;
         }
-        reclaimed
+        let rewritten = segment.with_extension("compact");
+        let _ = std::fs::remove_file(&rewritten);
+        let mut extents = Vec::with_capacity(spilled.len());
+        for id in spilled {
+            let (record, payload) = encode_page(&inner.load_page(id));
+            match append_record(&rewritten, &record) {
+                Ok(offset) => extents.push((id, (offset, record.len()), payload)),
+                Err(_) => return inner.abandon_rewrite(&rewritten),
+            }
+        }
+        if std::fs::rename(&rewritten, &segment).is_err() {
+            return inner.abandon_rewrite(&rewritten);
+        }
+        for (id, extent, payload) in extents {
+            let page = inner.pages.get_mut(&id).expect("page exists");
+            page.extent = extent;
+            page.file_bytes = payload;
+        }
+        // Resident pages lost their records with the old segment; they
+        // write a new one when next evicted.
+        for page in inner.pages.values_mut() {
+            if page.blocks.is_some() {
+                page.on_disk = false;
+                page.file_bytes = 0;
+            }
+        }
+        garbage
     }
 }
 
 impl Paged {
     /// The one canonical spill directory for this store instance. `dir`
-    /// caches it once `ensure_dir` has created it on disk.
+    /// caches it once `segment` has created it on disk.
     fn dir_path(&self) -> PathBuf {
         self.spill_root
             .join(format!("store-{}-{}", std::process::id(), self.store_id))
     }
 
-    fn page_path(&self, id: u32) -> PathBuf {
-        self.dir
-            .clone()
-            .unwrap_or_else(|| self.dir_path())
-            .join(format!("page-{id:08}.bin"))
+    /// Count a failed compaction rewrite and drop its partial segment;
+    /// nothing was reclaimed.
+    fn abandon_rewrite(&mut self, rewritten: &Path) -> usize {
+        self.spill_write_failures += 1;
+        let _ = std::fs::remove_file(rewritten);
+        0
     }
 
-    fn ensure_dir(&mut self) -> PathBuf {
+    /// The store's spill segment, its directory created on first use
+    /// (`None` if it cannot be).
+    fn segment(&mut self) -> Option<PathBuf> {
         if self.dir.is_none() {
             let dir = self.dir_path();
-            std::fs::create_dir_all(&dir).expect("create block-store spill directory");
+            std::fs::create_dir_all(&dir).ok()?;
             self.dir = Some(dir);
         }
-        self.dir.clone().expect("spill dir set")
+        self.dir.as_ref().map(|dir| dir.join(SEGMENT_FILE))
     }
 
-    /// Write a resident sealed page to disk and drop its in-memory blocks.
-    fn spill(&mut self, id: u32) {
-        self.ensure_dir();
-        let path = self.page_path(id);
-        let page = self.pages.get_mut(&id).expect("page exists");
-        let blocks = page.blocks.take().expect("spilling a resident page");
-        if !page.on_disk {
-            let mut out = Vec::new();
-            let mut payload = 0usize;
-            for (cid, bytes) in &blocks {
-                out.extend_from_slice(&cid.to_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-                payload += bytes.len();
-            }
-            std::fs::write(&path, &out).expect("write block-store spill page");
+    /// Append a resident sealed page to the spill segment and drop its
+    /// in-memory blocks. If the write fails the page keeps its blocks and
+    /// stays resident — outside the LRU, so evictions do not retry it — and
+    /// the failure is counted. Returns whether the page spilled.
+    fn spill(&mut self, id: u32) -> bool {
+        if !self.pages[&id].on_disk {
+            let blocks = self.pages[&id]
+                .blocks
+                .as_ref()
+                .expect("spilling a resident page");
+            let (record, payload) = encode_page(blocks);
+            let appended = self
+                .segment()
+                .and_then(|segment| append_record(&segment, &record).ok());
+            let Some(offset) = appended else {
+                self.spill_write_failures += 1;
+                return false;
+            };
+            let page = self.pages.get_mut(&id).expect("page exists");
             page.file_bytes = payload;
+            page.extent = (offset, record.len());
             page.on_disk = true;
             self.spill_writes += 1;
         }
+        self.pages.get_mut(&id).expect("page exists").blocks = None;
+        true
     }
 
     /// Read a spilled page back, verifying every block against its CID.
     /// Corrupt blocks are dropped (and counted); only index-live blocks are
-    /// reinstated.
+    /// reinstated. A record that cannot be read is counted and yields no
+    /// blocks.
     fn load_page(&mut self, id: u32) -> BTreeMap<Cid, Vec<u8>> {
-        let path = self.page_path(id);
-        let raw = std::fs::read(&path).unwrap_or_default();
         self.spill_loads += 1;
+        let extent = self.pages[&id].extent;
+        let raw = self
+            .dir
+            .as_ref()
+            .and_then(|dir| read_record(&dir.join(SEGMENT_FILE), extent).ok());
+        let Some(raw) = raw else {
+            self.spill_read_failures += 1;
+            return BTreeMap::new();
+        };
         let mut blocks = BTreeMap::new();
         let mut pos = 0usize;
         while pos + 40 <= raw.len() {
@@ -596,6 +695,8 @@ impl Paged {
             spill_writes: self.spill_writes,
             spill_loads: self.spill_loads,
             corrupt_reads: self.corrupt_reads,
+            spill_write_failures: self.spill_write_failures,
+            spill_read_failures: self.spill_read_failures,
             ..StoreStats::default()
         }
     }
@@ -627,6 +728,31 @@ impl BlockStore for PagedStore {
             .as_ref()
             .and_then(|b| b.get(cid).cloned());
         bytes
+    }
+
+    fn get_many(&self, cids: &[Cid]) -> Vec<Option<Vec<u8>>> {
+        let mut inner = self.inner.borrow_mut();
+        let mut by_page: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (i, cid) in cids.iter().enumerate() {
+            if let Some(loc) = inner.index.get(cid) {
+                by_page.entry(loc.page).or_default().push(i);
+            }
+        }
+        let mut out = vec![None; cids.len()];
+        for (page, wanted) in by_page {
+            let loaded;
+            let blocks = match &inner.pages[&page].blocks {
+                Some(blocks) => blocks,
+                None => {
+                    loaded = inner.load_page(page);
+                    &loaded
+                }
+            };
+            for i in wanted {
+                out[i] = blocks.get(&cids[i]).cloned();
+            }
+        }
+        out
     }
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
@@ -796,6 +922,13 @@ impl BlockStore for CountingStore {
         if out.is_some() {
             self.totals.gets.fetch_add(1, Ordering::Relaxed);
         }
+        out
+    }
+
+    fn get_many(&self, cids: &[Cid]) -> Vec<Option<Vec<u8>>> {
+        let out = self.inner.get_many(cids);
+        let found = out.iter().filter(|bytes| bytes.is_some()).count();
+        self.totals.gets.fetch_add(found as u64, Ordering::Relaxed);
         out
     }
 
@@ -1078,7 +1211,7 @@ mod tests {
         // recycle their stores can end up with identical
         // `store-<pid>-<id>` names. The per-process default root keeps
         // those stores in distinct roots; this pins down that even if one
-        // store's page file lands where the other looks (the failure mode
+        // store's spill segment lands where the other looks (the failure mode
         // of the old shared `bsky-blockstore` root), no foreign block ever
         // surfaces as contents.
         let root_a = std::env::temp_dir().join("bsky-blockstore-crossread-a");
@@ -1113,11 +1246,11 @@ mod tests {
             assert_eq!(dirs.len(), 1, "one store dir per root: {dirs:?}");
             dirs.pop().expect("one dir")
         };
-        let page_a = only_subdir(&root_a).join("page-00000000.bin");
-        let page_b = only_subdir(&root_b).join("page-00000000.bin");
+        let page_a = only_subdir(&root_a).join(SEGMENT_FILE);
+        let page_b = only_subdir(&root_b).join(SEGMENT_FILE);
         assert!(page_a.is_file() && page_b.is_file(), "both stores spilled");
-        // The collision: store A's page file lands at store B's path.
-        std::fs::copy(&page_a, &page_b).expect("overwrite page file");
+        // The collision: store A's spill segment lands at store B's path.
+        std::fs::copy(&page_a, &page_b).expect("overwrite spill segment");
         let (cid_b, _) = blocks_b[0];
         let (cid_a, bytes_a) = blocks_a[0].clone();
         assert_eq!(
@@ -1238,6 +1371,117 @@ mod tests {
         assert!(store.stats().corrupt_reads > 0);
     }
 
+    /// A bulk read answers exactly like block-by-block reads and leaves
+    /// the resident set untouched: spilled pages stream through.
+    #[test]
+    fn paged_get_many_matches_get_and_keeps_residency() {
+        let mut rng = TestRng::new(0x0009_a6ee);
+        for round in 0..10 {
+            let config = StoreConfig::paged()
+                .page_size(32 + rng.below(96) as usize)
+                .resident_pages(1 + rng.below(3) as usize)
+                .spill_dir(tmp_root());
+            let mut paged = PagedStore::new(&config);
+            let mut oracle = MemStore::new();
+            let universe: Vec<(Cid, Vec<u8>)> = (0..40)
+                .map(|i| block(round * 1_000 + i, 8 + rng.below(40) as usize))
+                .collect();
+            for _ in 0..200 {
+                let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
+                match rng.below(10) {
+                    0..=5 => {
+                        paged.put(*cid, bytes.clone());
+                        oracle.put(*cid, bytes.clone());
+                    }
+                    6..=7 => {
+                        paged.delete(cid);
+                        oracle.delete(cid);
+                    }
+                    _ => {
+                        // A random request list, repeats included.
+                        let wanted: Vec<Cid> = (0..rng.below(12))
+                            .map(|_| universe[rng.below(universe.len() as u64) as usize].0)
+                            .collect();
+                        let before = paged.stats();
+                        assert_eq!(paged.get_many(&wanted), oracle.get_many(&wanted));
+                        let after = paged.stats();
+                        assert_eq!(after.resident_bytes, before.resident_bytes);
+                        assert_eq!(after.spill_writes, before.spill_writes);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An unwritable spill root is a counted outcome, not a panic: the
+    /// pages that cannot spill stay resident and every block reads back.
+    #[test]
+    fn unwritable_spill_root_keeps_pages_resident() {
+        // A directory cannot be created under a regular file, whoever runs
+        // the test.
+        let file =
+            std::env::temp_dir().join(format!("bsky-blockstore-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"regular file").unwrap();
+        let config = StoreConfig::paged()
+            .page_size(64)
+            .resident_pages(1)
+            .spill_dir(file.join("spill").to_string_lossy().into_owned());
+        let mut store = PagedStore::new(&config);
+        let mut blocks = Vec::new();
+        for n in 0..40u64 {
+            let (cid, bytes) = block(n, 24);
+            assert!(store.put(cid, bytes.clone()));
+            blocks.push((cid, bytes));
+        }
+        store.evict_cold();
+        let stats = store.stats();
+        assert!(stats.spill_write_failures > 0, "{stats:?}");
+        assert_eq!(stats.spill_writes, 0);
+        assert_eq!(stats.spilled_bytes, 0);
+        for (cid, bytes) in &blocks {
+            verify_roundtrip(&store, cid, bytes).unwrap();
+        }
+        std::fs::remove_file(&file).unwrap();
+    }
+
+    /// A spill segment that went missing reads as absent blocks, counted
+    /// once per page load that found it gone.
+    #[test]
+    fn missing_spill_segment_is_counted() {
+        let mut store = PagedStore::new(&paged_config());
+        let mut blocks = Vec::new();
+        for n in 0..40u64 {
+            let (cid, bytes) = block(n, 24);
+            store.put(cid, bytes.clone());
+            blocks.push((cid, bytes));
+        }
+        let (victim, page, segment) = {
+            let inner = store.inner.borrow();
+            let loc = inner.index[&blocks[0].0];
+            assert!(
+                inner.pages[&loc.page].blocks.is_none(),
+                "first page spilled"
+            );
+            let dir = inner.dir.clone().expect("spilled");
+            (blocks[0].0, loc.page, dir.join(SEGMENT_FILE))
+        };
+        std::fs::remove_file(segment).unwrap();
+        assert_eq!(store.get(&victim), None);
+        assert_eq!(store.stats().spill_read_failures, 1);
+        assert_eq!(store.stats().corrupt_reads, 0);
+        // The page's other blocks are gone too, without a second count.
+        let same_page: Vec<Cid> = blocks
+            .iter()
+            .map(|(cid, _)| *cid)
+            .filter(|cid| store.inner.borrow().index[cid].page == page)
+            .collect();
+        assert!(same_page.len() > 1);
+        for cid in &same_page {
+            assert_eq!(store.get(cid), None);
+        }
+        assert_eq!(store.stats().spill_read_failures, 1);
+    }
+
     #[test]
     fn paged_store_compact_reclaims_dead_spilled_blocks() {
         let mut store = PagedStore::new(&paged_config());
@@ -1270,6 +1514,83 @@ mod tests {
         }
         // A second pass has nothing left to do.
         assert_eq!(store.compact(), 0);
+    }
+
+    /// Compaction replaces the whole segment: a page read back before it
+    /// (resident, its record in the old segment) must write a fresh record
+    /// when next evicted, and every live block must still read back.
+    #[test]
+    fn compaction_keeps_paged_in_pages_readable() {
+        let mut store = PagedStore::new(&paged_config());
+        let mut blocks = Vec::new();
+        for n in 0..30u64 {
+            let (cid, bytes) = block(n, 24);
+            store.put(cid, bytes.clone());
+            blocks.push((cid, bytes));
+        }
+        store.evict_cold();
+        let page_of = |store: &PagedStore, cid: &Cid| store.inner.borrow().index[cid].page;
+        let (kept, _) = blocks[0].clone();
+        let dropped = blocks
+            .iter()
+            .map(|(cid, _)| *cid)
+            .find(|cid| page_of(&store, cid) != page_of(&store, &kept))
+            .expect("blocks on another page");
+        assert!(store.get(&kept).is_some(), "pages the first block back in");
+        assert!(store.delete(&dropped) > 0);
+        let writes = store.stats().spill_writes;
+        assert!(store.compact() > 0);
+        store.evict_cold();
+        assert!(
+            store.stats().spill_writes > writes,
+            "the paged-in page spilled anew"
+        );
+        for (cid, bytes) in &blocks {
+            if *cid != dropped {
+                verify_roundtrip(&store, cid, bytes).unwrap();
+            }
+        }
+        assert_eq!(
+            store.stats().corrupt_reads + store.stats().spill_read_failures,
+            0
+        );
+    }
+
+    /// A corrupt block dropped by a compaction rewrite leaves its page's
+    /// record smaller than the page's live bytes; later passes must treat
+    /// that as no garbage, not as an overflow.
+    #[test]
+    fn compaction_after_a_corrupt_block_is_stable() {
+        let mut store = PagedStore::new(&paged_config());
+        let mut blocks = Vec::new();
+        for n in 0..30u64 {
+            let (cid, bytes) = block(n, 24);
+            store.put(cid, bytes.clone());
+            blocks.push((cid, bytes));
+        }
+        store.evict_cold();
+        let segment = store
+            .inner
+            .borrow()
+            .dir
+            .clone()
+            .expect("spilled")
+            .join(SEGMENT_FILE);
+        let mut raw = std::fs::read(&segment).unwrap();
+        let corrupt = Cid::from_bytes(&raw[..36]).unwrap();
+        raw[44] ^= 0xff; // inside the first record's first block
+        std::fs::write(&segment, &raw).unwrap();
+        let last = blocks.last().expect("blocks").0;
+        assert!(store.delete(&last) > 0, "garbage on another page");
+        assert!(store.compact() > 0);
+        assert!(store.stats().corrupt_reads > 0);
+        assert_eq!(store.compact(), 0, "nothing left to reclaim");
+        assert_eq!(store.get(&corrupt), None);
+        for (cid, bytes) in &blocks[..blocks.len() - 1] {
+            if *cid != corrupt {
+                verify_roundtrip(&store, cid, bytes).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -5,19 +5,27 @@
 //! it contains (never on insertion order). Keys are `<collection>/<rkey>`
 //! strings and values are CIDs of the record blocks.
 //!
-//! This implementation keeps the authoritative key→value mapping in an
-//! ordered map and materialises the tree — node layers derived from leading
-//! zero bits of `sha256(key)`, exactly like the reference implementation —
-//! whenever the root CID or the node block set is requested. Because the tree
-//! is a pure function of the mapping, the crucial MST property (identical
-//! contents ⇒ identical root CID) holds by construction, and the rebuild cost
-//! is linear in the number of keys, which is ample for simulation scale.
-//! Two memos keep the commit hot path off the hash function: each key's
-//! layer is computed once at insertion (not per build), and the last
-//! materialisation is cached until the next mutation, so back-to-back reads
-//! (commit, then CAR export) rebuild nothing. Node blocks are encoded
-//! directly to bytes with [`crate::cbor`]'s raw writers — byte-identical to
-//! the generic `Value` encoder, without allocating a value tree per node.
+//! A key's layer is the number of leading zero bit pairs of `sha256(key)`,
+//! exactly like the reference implementation. The root sits on the highest
+//! layer present; a node on layer `L` holds the layer-`L` keys of its key
+//! range, and each gap between them (and at both ends) that holds keys
+//! becomes a child on layer `L - 1`. A gap whose keys all sit lower still is
+//! an entry-less node pointing further down.
+//!
+//! The tree is kept **persistent**: every node lives across commits and
+//! caches its encoded block and CID. An insert or remove rewrites only the
+//! nodes on its root-to-leaf path (plus the two halves of a gap it splits or
+//! the gap pair it merges) and drops their cached encodings, so the next
+//! read re-encodes and re-hashes ≈ log₄ n nodes instead of the whole tree.
+//! [`Mst::commit`] hands the repository exactly what changed since the
+//! previous commit: the new root, the new node blocks (children before
+//! parents, the order a full rebuild emits them) and the CIDs of the nodes
+//! they replaced. A full rebuild from the sorted key list survives only as
+//! the oracle the tests pin the incremental tree against and as the
+//! legacy-encoding measurement behind [`Mst::structural_size_uncompressed`].
+//! Node blocks are encoded directly to bytes with [`crate::cbor`]'s raw
+//! writers — byte-identical to the generic `Value` encoder, without
+//! allocating a value tree per node.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -32,7 +40,7 @@ use crate::cbor::Value;
 use crate::cid::Cid;
 use crate::crypto::sha256;
 use crate::error::{AtError, Result};
-use std::collections::BTreeMap;
+use std::cell::{Cell, OnceCell};
 
 /// The fanout parameter: a key's layer is the number of leading zero *pairs of
 /// bits* in its SHA-256 hash (fanout 4, as in the reference implementation).
@@ -70,42 +78,308 @@ pub fn validate_key(key: &str) -> Result<()> {
     Ok(())
 }
 
-/// One key's stored state: its record CID plus the key's MST layer. The
-/// layer is a pure function of the key (`sha256` leading zeros), so it is
-/// computed once at insertion instead of on every materialisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryState {
-    cid: Cid,
+/// A child subtree, absent when its gap holds no keys.
+type Link = Option<Box<Node>>;
+
+/// One key of a node, with the subtree of the gap after it.
+#[derive(Debug, Clone)]
+struct Entry {
+    key: Box<str>,
+    value: Cid,
+    right: Link,
+}
+
+/// A persistent tree node. Its encoded block is cached in `enc` until a
+/// mutation touches the node.
+#[derive(Debug, Clone)]
+struct Node {
     layer: u32,
+    /// Subtree of the gap before the first entry.
+    left: Link,
+    entries: Vec<Entry>,
+    enc: OnceCell<MstNode>,
+    /// Created or changed since the last [`Mst::commit`]. Every ancestor of
+    /// a fresh node is fresh, so a commit finds them all by a walk that
+    /// stops at the first committed node of each branch.
+    fresh: bool,
 }
 
-/// A content-addressed key→CID index.
-///
-/// The authoritative state is the ordered `entries` map; the tree shape is
-/// a pure function of it. The last materialisation (root CID plus every
-/// node block) is memoised in `built` and invalidated by any mutation, so
-/// repeated reads — a CAR export right after a commit, a root probe — cost
-/// a copy instead of a rebuild.
-#[derive(Debug, Default)]
+impl Node {
+    fn new(layer: u32) -> Node {
+        Node {
+            layer,
+            left: None,
+            entries: Vec::new(),
+            enc: OnceCell::new(),
+            fresh: true,
+        }
+    }
+
+    /// Mark the node changed (or about to be dropped): its cached encoding
+    /// goes, and a committed node's CID joins `replaced`.
+    fn touch(&mut self, replaced: &mut Vec<Cid>) {
+        if let Some(old) = self.enc.take() {
+            if !self.fresh {
+                replaced.push(old.cid);
+            }
+        }
+        self.fresh = true;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty() && self.left.is_none()
+    }
+
+    /// The entry holding `key`, or the index of the gap it falls into.
+    fn search(&self, key: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|e| (*e.key).cmp(key))
+    }
+
+    /// The subtree of gap `i`: before entry `i`, after entry `i - 1`.
+    fn gap(&self, i: usize) -> Option<&Node> {
+        match i {
+            0 => self.left.as_deref(),
+            _ => self.entries[i - 1].right.as_deref(),
+        }
+    }
+
+    fn gap_mut(&mut self, i: usize) -> &mut Link {
+        match i {
+            0 => &mut self.left,
+            _ => &mut self.entries[i - 1].right,
+        }
+    }
+
+    /// The smallest key of the subtree.
+    fn first_key(&self) -> Option<&str> {
+        match &self.left {
+            Some(left) => left.first_key(),
+            None => self.entries.first().map(|e| &*e.key),
+        }
+    }
+
+    /// The largest key of the subtree.
+    fn last_key(&self) -> Option<&str> {
+        match self.gap(self.entries.len()) {
+            Some(last) => last.last_key(),
+            None => self.entries.last().map(|e| &*e.key),
+        }
+    }
+
+    /// The node's block, encoding it (and any stale descendant) on first
+    /// use since it last changed.
+    fn encoded(&self, encoded: &Cell<u64>) -> &MstNode {
+        self.enc.get_or_init(|| {
+            let left = self.left.as_ref().map(|child| child.encoded(encoded).cid);
+            let mut prev: Option<&str> = None;
+            let entries: Vec<PendingEntry<'_>> = self
+                .entries
+                .iter()
+                .map(|entry| {
+                    let prefix = prev.map_or(0, |p| common_prefix_len(p, &entry.key));
+                    prev = Some(&entry.key);
+                    PendingEntry {
+                        prefix,
+                        key: &entry.key,
+                        value: entry.value,
+                        subtree: entry.right.as_ref().map(|child| child.encoded(encoded).cid),
+                    }
+                })
+                .collect();
+            let bytes = encode_node(left, &entries, self.layer, true);
+            encoded.set(encoded.get() + 1);
+            MstNode {
+                cid: Cid::for_cbor(&bytes),
+                bytes,
+            }
+        })
+    }
+
+    /// Every block of the subtree in post-order (children before parents).
+    fn blocks<'a>(&'a self, encoded: &Cell<u64>, out: &mut Vec<&'a MstNode>) {
+        if let Some(left) = &self.left {
+            left.blocks(encoded, out);
+        }
+        for entry in &self.entries {
+            if let Some(right) = &entry.right {
+                right.blocks(encoded, out);
+            }
+        }
+        out.push(self.encoded(encoded));
+    }
+
+    /// The fresh nodes' blocks in post-order, marking them committed (and
+    /// trimming their entry lists: a tree lives as long as its repository).
+    fn commit(&mut self, encoded: &Cell<u64>, out: &mut Vec<MstNode>) {
+        if !self.fresh {
+            return;
+        }
+        self.entries.shrink_to_fit();
+        if let Some(left) = &mut self.left {
+            left.commit(encoded, out);
+        }
+        for entry in &mut self.entries {
+            if let Some(right) = &mut entry.right {
+                right.commit(encoded, out);
+            }
+        }
+        self.fresh = false;
+        out.push(self.encoded(encoded).clone());
+    }
+
+    /// `(key, value, layer)` of every key of the subtree, in key order.
+    fn items<'a>(&'a self, out: &mut Vec<(&'a str, Cid, u32)>) {
+        if let Some(left) = &self.left {
+            left.items(out);
+        }
+        for entry in &self.entries {
+            out.push((&entry.key, entry.value, self.layer));
+            if let Some(right) = &entry.right {
+                right.items(out);
+            }
+        }
+    }
+}
+
+/// Split a subtree around `key` (absent from it) into the parts below and
+/// above it, both on the subtree's layer. Only the nodes the key falls
+/// inside change; a part that holds no keys is absent.
+fn split(link: Link, key: &str, replaced: &mut Vec<Cid>) -> (Link, Link) {
+    let Some(mut node) = link else {
+        return (None, None);
+    };
+    if node.last_key().is_none_or(|last| last < key) {
+        return (Some(node), None);
+    }
+    if node.first_key().is_none_or(|first| first > key) {
+        return (None, Some(node));
+    }
+    node.touch(replaced);
+    let i = node.search(key).unwrap_or_else(|i| i);
+    let (below, above) = split(node.gap_mut(i).take(), key, replaced);
+    *node.gap_mut(i) = below;
+    let mut upper = Box::new(Node::new(node.layer));
+    upper.entries = node.entries.split_off(i);
+    upper.left = above;
+    (Some(node), Some(upper))
+}
+
+/// Join two subtrees on the same layer, every key of `low` below every key
+/// of `high`: the facing edge gaps merge one layer down.
+fn merge(low: Link, high: Link, replaced: &mut Vec<Cid>) -> Link {
+    let (mut low, mut high) = match (low, high) {
+        (None, high) => return high,
+        (low, None) => return low,
+        (Some(low), Some(high)) => (low, high),
+    };
+    low.touch(replaced);
+    high.touch(replaced);
+    let edge = low.entries.len();
+    let seam = merge(low.gap_mut(edge).take(), high.left.take(), replaced);
+    *low.gap_mut(edge) = seam;
+    low.entries.append(&mut high.entries);
+    Some(low)
+}
+
+/// Insert a key absent from the tree into `node`, whose layer is at least
+/// the key's.
+fn insert_into(node: &mut Node, key: &str, key_layer: u32, value: Cid, replaced: &mut Vec<Cid>) {
+    node.touch(replaced);
+    let i = node.search(key).unwrap_or_else(|i| i);
+    if node.layer == key_layer {
+        let (below, above) = split(node.gap_mut(i).take(), key, replaced);
+        *node.gap_mut(i) = below;
+        node.entries.insert(
+            i,
+            Entry {
+                key: key.into(),
+                value,
+                right: above,
+            },
+        );
+    } else {
+        let layer = node.layer - 1;
+        let child = node
+            .gap_mut(i)
+            .get_or_insert_with(|| Box::new(Node::new(layer)));
+        insert_into(child, key, key_layer, value, replaced);
+    }
+}
+
+/// Replace the value of a key present in the tree.
+fn update_in(node: &mut Node, key: &str, value: Cid, replaced: &mut Vec<Cid>) {
+    node.touch(replaced);
+    match node.search(key) {
+        Ok(i) => node.entries[i].value = value,
+        Err(i) => {
+            let child = node.gap_mut(i).as_mut().expect("key present below");
+            update_in(child, key, value, replaced);
+        }
+    }
+}
+
+/// Remove a key present in the tree.
+fn remove_from(node: &mut Node, key: &str, replaced: &mut Vec<Cid>) {
+    node.touch(replaced);
+    match node.search(key) {
+        Ok(i) => {
+            let entry = node.entries.remove(i);
+            let below = node.gap_mut(i).take();
+            *node.gap_mut(i) = merge(below, entry.right, replaced);
+        }
+        Err(i) => {
+            let gap = node.gap_mut(i);
+            let child = gap.as_mut().expect("key present below");
+            remove_from(child, key, replaced);
+            if child.is_empty() {
+                *gap = None;
+            }
+        }
+    }
+}
+
+/// Wrap a subtree in entry-less nodes until it sits on layer `to`.
+fn lift(mut link: Link, to: u32) -> Link {
+    while let Some(node) = link.take() {
+        if node.layer >= to {
+            return Some(node);
+        }
+        let mut parent = Node::new(node.layer + 1);
+        parent.left = Some(node);
+        link = Some(Box::new(parent));
+    }
+    None
+}
+
+/// A content-addressed key→CID index: a persistent MST whose nodes cache
+/// their encoded blocks (see the module docs).
+#[derive(Debug, Clone)]
 pub struct Mst {
-    entries: BTreeMap<String, EntryState>,
-    built: std::cell::RefCell<Option<(Cid, Vec<MstNode>)>>,
+    /// The root: the empty layer-0 node when the tree holds no keys.
+    root: Box<Node>,
+    len: usize,
+    /// CIDs of committed nodes changed or dropped since the last commit.
+    replaced: Vec<Cid>,
+    /// Node blocks encoded over the tree's lifetime.
+    nodes_encoded: Cell<u64>,
 }
 
-impl Clone for Mst {
-    fn clone(&self) -> Mst {
+impl Default for Mst {
+    fn default() -> Mst {
         Mst {
-            entries: self.entries.clone(),
-            built: std::cell::RefCell::new(self.built.borrow().clone()),
+            root: Box::new(Node::new(0)),
+            len: 0,
+            replaced: Vec::new(),
+            nodes_encoded: Cell::new(0),
         }
     }
 }
 
 impl PartialEq for Mst {
     fn eq(&self, other: &Mst) -> bool {
-        // The memo is derived state; two trees are equal iff their
-        // contents are.
-        self.entries == other.entries
+        // Cached encodings and commit state are derived; two trees are
+        // equal iff their contents are.
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
@@ -150,13 +424,68 @@ impl MstDiffOp {
     }
 }
 
-/// A materialised tree node (only produced by [`Mst::blocks`]).
+/// An encoded tree node block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MstNode {
     /// CID of this node's encoded block.
     pub cid: Cid,
     /// The encoded DAG-CBOR bytes of the node.
     pub bytes: Vec<u8>,
+}
+
+/// What changed in the tree since the previous [`Mst::commit`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MstCommit {
+    /// The root CID.
+    pub root: Cid,
+    /// Node blocks of the tree that the previous commit's tree lacked,
+    /// children before parents (the full tree's post-order).
+    pub created: Vec<MstNode>,
+    /// CIDs of the previous commit's nodes that are gone from the tree,
+    /// sorted.
+    pub removed: Vec<Cid>,
+}
+
+/// In-order iterator over a tree's entries: a stack of `(node, index of
+/// the next entry to yield)`, the gap before that entry stacked above it.
+struct Iter<'a> {
+    stack: Vec<(&'a Node, usize)>,
+}
+
+impl<'a> Iter<'a> {
+    /// Start at the first key not below `lower`.
+    fn seek(root: &'a Node, lower: &str) -> Iter<'a> {
+        let mut stack = Vec::new();
+        let mut link = Some(root);
+        while let Some(node) = link {
+            let i = node.entries.partition_point(|e| &*e.key < lower);
+            stack.push((node, i));
+            link = node.gap(i);
+        }
+        Iter { stack }
+    }
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a str, &'a Cid);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (node, next) = self.stack.last_mut()?;
+            let node: &'a Node = node;
+            let Some(entry) = node.entries.get(*next) else {
+                self.stack.pop();
+                continue;
+            };
+            *next += 1;
+            let mut link = entry.right.as_deref();
+            while let Some(child) = link {
+                self.stack.push((child, 0));
+                link = child.left.as_deref();
+            }
+            return Some((&entry.key, &entry.value));
+        }
+    }
 }
 
 impl Mst {
@@ -167,52 +496,98 @@ impl Mst {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// Node blocks encoded over the tree's lifetime — a deterministic
+    /// measure of the tree's hashing work.
+    pub fn nodes_encoded(&self) -> u64 {
+        self.nodes_encoded.get()
     }
 
     /// Insert or replace a key, returning the previous value if any.
     pub fn insert(&mut self, key: &str, cid: Cid) -> Result<Option<Cid>> {
         validate_key(key)?;
-        if let Some(state) = self.entries.get_mut(key) {
-            if state.cid == cid {
-                return Ok(Some(cid)); // no-op replace: the memo stays valid
+        Ok(self.insert_valid(key, cid))
+    }
+
+    fn insert_valid(&mut self, key: &str, cid: Cid) -> Option<Cid> {
+        if let Some(old) = self.get(key).copied() {
+            if old != cid {
+                update_in(&mut self.root, key, cid, &mut self.replaced);
             }
-            let old = std::mem::replace(&mut state.cid, cid);
-            *self.built.get_mut() = None;
-            return Ok(Some(old));
+            return Some(old);
         }
+        let replaced = &mut self.replaced;
         let layer = key_layer(key);
-        self.entries
-            .insert(key.to_string(), EntryState { cid, layer });
-        *self.built.get_mut() = None;
-        Ok(None)
+        if self.len == 0 || layer > self.root.layer {
+            // The key tops the tree: it becomes the only entry of a new
+            // root, the old tree split around it and lifted underneath.
+            let mut old = std::mem::replace(&mut self.root, Box::new(Node::new(layer)));
+            let (below, above) = if self.len == 0 {
+                old.touch(replaced);
+                (None, None)
+            } else {
+                split(Some(old), key, replaced)
+            };
+            let to = layer.saturating_sub(1);
+            self.root.left = lift(below, to);
+            self.root.entries.push(Entry {
+                key: key.into(),
+                value: cid,
+                right: lift(above, to),
+            });
+        } else {
+            insert_into(&mut self.root, key, layer, cid, replaced);
+        }
+        self.len += 1;
+        None
     }
 
     /// Remove a key, returning its value if it was present.
     pub fn remove(&mut self, key: &str) -> Option<Cid> {
-        let removed = self.entries.remove(key)?;
-        *self.built.get_mut() = None;
-        Some(removed.cid)
+        let old = *self.get(key)?;
+        let replaced = &mut self.replaced;
+        remove_from(&mut self.root, key, replaced);
+        self.len -= 1;
+        // A root left without entries gives way to its only child (the
+        // empty tree is the empty layer-0 node).
+        while self.root.entries.is_empty() {
+            let next = match self.root.left.take() {
+                Some(child) => child,
+                None if self.root.layer == 0 => break,
+                None => Box::new(Node::new(0)),
+            };
+            self.root.touch(replaced);
+            self.root = next;
+        }
+        Some(old)
     }
 
     /// Look up a key.
     pub fn get(&self, key: &str) -> Option<&Cid> {
-        self.entries.get(key).map(|state| &state.cid)
+        let mut node = &*self.root;
+        loop {
+            match node.search(key) {
+                Ok(i) => return Some(&node.entries[i].value),
+                Err(i) => node = node.gap(i)?,
+            }
+        }
     }
 
     /// Whether a key is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// Iterate all `(key, cid)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), &v.cid))
+        Iter::seek(&self.root, "")
     }
 
     /// Iterate the keys of a single collection (keys beginning with
@@ -223,33 +598,31 @@ impl Mst {
     ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
         let prefix = format!("{collection}/");
         let end = format!("{collection}0"); // '0' sorts just after '/'
-        self.entries
-            .range(prefix..end)
-            .map(|(k, v)| (k.as_str(), &v.cid))
+        Iter::seek(&self.root, &prefix).take_while(move |(key, _)| *key < end.as_str())
     }
 
     /// Compute the differences needed to go from `old` to `self`.
     pub fn diff(&self, old: &Mst) -> Vec<MstDiffOp> {
         let mut ops = Vec::new();
-        for (key, state) in &self.entries {
-            match old.entries.get(key) {
+        for (key, cid) in self.iter() {
+            match old.get(key) {
                 None => ops.push(MstDiffOp::Created {
-                    key: key.clone(),
-                    cid: state.cid,
+                    key: key.to_string(),
+                    cid: *cid,
                 }),
-                Some(prev) if prev.cid != state.cid => ops.push(MstDiffOp::Updated {
-                    key: key.clone(),
-                    old: prev.cid,
-                    new: state.cid,
+                Some(prev) if prev != cid => ops.push(MstDiffOp::Updated {
+                    key: key.to_string(),
+                    old: *prev,
+                    new: *cid,
                 }),
                 Some(_) => {}
             }
         }
-        for (key, state) in &old.entries {
-            if !self.entries.contains_key(key) {
+        for (key, cid) in old.iter() {
+            if !self.contains(key) {
                 ops.push(MstDiffOp::Deleted {
-                    key: key.clone(),
-                    cid: state.cid,
+                    key: key.to_string(),
+                    cid: *cid,
                 });
             }
         }
@@ -257,20 +630,54 @@ impl Mst {
         ops
     }
 
-    /// The root CID of the materialised tree.
+    /// The root CID.
     pub fn root_cid(&self) -> Cid {
-        self.build().0
+        self.root.encoded(&self.nodes_encoded).cid
     }
 
-    /// All node blocks of the materialised tree (for CAR export and sync).
+    /// Every node block of the tree, children before parents (for CAR
+    /// export), borrowed from the node caches.
+    pub fn node_blocks(&self) -> Vec<&MstNode> {
+        let mut out = Vec::new();
+        self.root.blocks(&self.nodes_encoded, &mut out);
+        out
+    }
+
+    /// All node blocks of the tree (for CAR export and sync).
     pub fn blocks(&self) -> Vec<MstNode> {
-        self.build().1
+        self.node_blocks().into_iter().cloned().collect()
     }
 
-    /// The root CID and every node block in one materialisation (callers
-    /// needing both avoid building the tree twice).
+    /// The root CID and every node block.
     pub fn root_and_blocks(&self) -> (Cid, Vec<MstNode>) {
-        self.build()
+        (self.root_cid(), self.blocks())
+    }
+
+    /// Close the current commit: encode the nodes changed since the last
+    /// one and report them, with the nodes they replaced.
+    ///
+    /// A node changed and then changed back (a no-op rewrite, a rolled-back
+    /// batch) re-encodes to a CID the previous tree already had; it lands in
+    /// neither list.
+    pub fn commit(&mut self) -> MstCommit {
+        let mut created = Vec::new();
+        self.root.commit(&self.nodes_encoded, &mut created);
+        let mut removed = std::mem::take(&mut self.replaced);
+        removed.sort_unstable();
+        let kept: Vec<Cid> = created
+            .iter()
+            .map(|node| node.cid)
+            .filter(|cid| removed.binary_search(cid).is_ok())
+            .collect();
+        if !kept.is_empty() {
+            created.retain(|node| !kept.contains(&node.cid));
+            removed.retain(|cid| !kept.contains(cid));
+        }
+        MstCommit {
+            root: self.root_cid(),
+            created,
+            removed,
+        }
     }
 
     /// The MST diff walk at the node level: the tree node blocks of `self`
@@ -280,23 +687,23 @@ impl Mst {
     /// `com.atproto.sync.getRepo(did, since)` delta. The empty diff (equal
     /// trees) yields an empty vector.
     ///
-    /// This is the *reference* form of the walk (it materialises both
-    /// trees, O(n)); the repository layer serves deltas from its O(churn)
-    /// per-commit node log instead, and a test in `repo.rs` pins the two
-    /// equal.
+    /// This is the *reference* form of the walk (it lists both trees, O(n));
+    /// the repository layer serves deltas from its O(churn) per-commit node
+    /// log instead, and a test in `repo.rs` pins the two equal.
     pub fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
         let old_cids: std::collections::BTreeSet<Cid> =
-            old.blocks().iter().map(|n| n.cid).collect();
-        self.blocks()
+            old.node_blocks().iter().map(|n| n.cid).collect();
+        self.node_blocks()
             .into_iter()
             .filter(|n| !old_cids.contains(&n.cid))
+            .cloned()
             .collect()
     }
 
     /// Total serialized size of all node blocks in bytes (prefix-compressed
     /// wire encoding).
     pub fn structural_size(&self) -> usize {
-        self.blocks().iter().map(|n| n.bytes.len()).sum()
+        self.node_blocks().iter().map(|n| n.bytes.len()).sum()
     }
 
     /// What the node blocks would occupy under the legacy full-key encoding
@@ -307,24 +714,12 @@ impl Mst {
         self.build_with(false).1.iter().map(|n| n.bytes.len()).sum()
     }
 
-    /// Build the tree: returns the root CID and every node block, serving
-    /// repeats from the memo until the next mutation.
-    fn build(&self) -> (Cid, Vec<MstNode>) {
-        if let Some(cached) = self.built.borrow().as_ref() {
-            return cached.clone();
-        }
-        let out = self.build_with(true);
-        *self.built.borrow_mut() = Some(out.clone());
-        out
-    }
-
-    fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
+    /// Build the whole tree from the sorted key list, independently of the
+    /// persistent nodes: the root CID and every node block in post-order.
+    pub(crate) fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
         let mut blocks = Vec::new();
-        let items: Vec<(&str, Cid, u32)> = self
-            .entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.cid, v.layer))
-            .collect();
+        let mut items = Vec::with_capacity(self.len);
+        self.root.items(&mut items);
         let top_layer = items.iter().map(|(_, _, l)| *l).max().unwrap_or(0);
         let root = Self::build_node(&items, top_layer, &mut blocks, compress);
         (root, blocks)
@@ -540,22 +935,18 @@ pub fn decode_node(bytes: &[u8]) -> Result<DecodedMstNode> {
 
 impl FromIterator<(String, Cid)> for Mst {
     fn from_iter<T: IntoIterator<Item = (String, Cid)>>(iter: T) -> Self {
-        Mst {
-            entries: iter
-                .into_iter()
-                .map(|(key, cid)| {
-                    let layer = key_layer(&key);
-                    (key, EntryState { cid, layer })
-                })
-                .collect(),
-            built: std::cell::RefCell::new(None),
+        let mut mst = Mst::new();
+        for (key, cid) in iter {
+            mst.insert_valid(&key, cid);
         }
+        mst
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn cid_for(n: u32) -> Cid {
         Cid::for_cbor(&n.to_be_bytes())
@@ -619,21 +1010,52 @@ mod tests {
         }
     }
 
-    /// Mutations invalidate the materialisation memo; reads after a
-    /// mutation see the new tree, and a no-op replace keeps the memo.
+    /// Mutations drop the cached encodings on their path; reads after a
+    /// mutation see the new tree, and a no-op replace re-encodes nothing.
     #[test]
     fn build_memo_tracks_mutations() {
         let mut mst = Mst::new();
         mst.insert(&key_for(1), cid_for(1)).unwrap();
         let root1 = mst.root_cid();
-        assert_eq!(mst.root_cid(), root1, "memoised read is stable");
+        let encoded = mst.nodes_encoded();
+        assert_eq!(mst.root_cid(), root1, "cached read is stable");
         mst.insert(&key_for(1), cid_for(1)).unwrap(); // no-op replace
         assert_eq!(mst.root_cid(), root1);
+        assert_eq!(
+            mst.nodes_encoded(),
+            encoded,
+            "reads and no-ops encode nothing"
+        );
         mst.insert(&key_for(2), cid_for(2)).unwrap();
         let root2 = mst.root_cid();
-        assert_ne!(root2, root1, "insert invalidates the memo");
+        assert_ne!(root2, root1, "insert drops the cached root");
         mst.remove(&key_for(2)).unwrap();
-        assert_eq!(mst.root_cid(), root1, "remove invalidates the memo");
+        assert_eq!(mst.root_cid(), root1, "remove drops the cached root");
+    }
+
+    /// A commit reports exactly the nodes that changed: after a first
+    /// commit of a large tree, one appended key re-encodes a handful of
+    /// path nodes, not the tree.
+    #[test]
+    fn commit_reencodes_only_the_touched_path() {
+        let mut mst = Mst::new();
+        for n in 0..2_000u32 {
+            mst.insert(&key_for(n), cid_for(n)).unwrap();
+        }
+        let first = mst.commit();
+        assert_eq!(first.created.len(), mst.blocks().len());
+        assert!(first.removed.is_empty());
+        let before = mst.nodes_encoded();
+        mst.insert(&key_for(5_000), cid_for(5_000)).unwrap();
+        let next = mst.commit();
+        let encoded = mst.nodes_encoded() - before;
+        assert!(encoded <= 8, "an append re-encoded {encoded} nodes");
+        assert_eq!(next.created.len() as u64, encoded);
+        assert_eq!(next.root, mst.build_with(true).0);
+        // Nothing changed since: an empty commit.
+        let idle = mst.commit();
+        assert!(idle.created.is_empty() && idle.removed.is_empty());
+        assert_eq!(idle.root, next.root);
     }
 
     fn key_for(n: u32) -> String {
@@ -951,6 +1373,143 @@ mod proptests {
             }
             assert_eq!(forward.root_cid(), shuffled.root_cid());
         }
+    }
+
+    /// A key pool of `size` keys over three collections that is sure to
+    /// hold keys on layers 2 and 3, so the tree grows and loses layers.
+    fn key_pool(size: usize) -> Vec<String> {
+        let collections = [
+            "app.bsky.feed.post",
+            "app.bsky.feed.like",
+            "app.bsky.graph.follow",
+        ];
+        let mut pool: Vec<String> = (0..size)
+            .map(|n| format!("{}/k{n:05}", collections[n % 3]))
+            .collect();
+        for min_layer in [2, 3] {
+            let high = (0..)
+                .map(|n| format!("app.bsky.feed.post/h{n}"))
+                .find(|key| key_layer(key) >= min_layer)
+                .expect("some key reaches the layer");
+            pool.push(high);
+        }
+        pool
+    }
+
+    /// Random insert / update / remove / re-insert batches, the tree grown
+    /// and drained to zero keys in turn: after every batch the incremental
+    /// tree must equal a full rebuild (root, block bytes and order), and
+    /// its commit must report exactly the rebuilds' node set difference,
+    /// new nodes in the rebuild's post-order.
+    fn incremental_tree_matches_rebuild(seed: u64, draws: usize, max_keys: usize) {
+        let mut rng = TestRng::new(seed);
+        let pool = key_pool(max_keys);
+        let max_batch = (max_keys / 100).max(8) as u64;
+        let mut mst = Mst::new();
+        let mut model: BTreeMap<String, Cid> = BTreeMap::new();
+        let mut before: std::collections::BTreeSet<Cid> = std::collections::BTreeSet::new();
+        let (mut target, mut draining) = (1 + rng.below(max_keys as u64) as usize, false);
+        let (mut drained, mut top_layer, mut max_len) = (0, 0, 0);
+        for _ in 0..draws {
+            if !draining && model.len() >= target {
+                draining = true;
+            } else if draining && model.is_empty() {
+                draining = false;
+                drained += 1;
+                target = 1 + rng.below(max_keys as u64) as usize;
+            }
+            let batch = if rng.below(2) == 0 {
+                1
+            } else {
+                1 + rng.below(max_batch)
+            };
+            for _ in 0..batch {
+                let value = Cid::for_cbor(&rng.next_u64().to_be_bytes());
+                let present = (!model.is_empty()).then(|| {
+                    let nth = rng.below(model.len() as u64) as usize;
+                    model.keys().nth(nth).cloned().expect("in range")
+                });
+                match (rng.below(10), present) {
+                    (_, Some(key)) if draining => {
+                        assert_eq!(mst.remove(&key), model.remove(&key));
+                    }
+                    (0..=5, _) => {
+                        // Mostly a key not yet present; now and then one
+                        // of the high-layer keys at the pool's tail.
+                        let start = match rng.below(6) {
+                            0 => pool.len() - 1 - rng.below(2) as usize,
+                            _ => rng.below(pool.len() as u64) as usize,
+                        };
+                        let key = pool[start..]
+                            .iter()
+                            .chain(&pool[..start])
+                            .find(|key| !model.contains_key(*key))
+                            .unwrap_or(&pool[start]);
+                        let previous = mst.insert(key, value).unwrap();
+                        assert_eq!(previous, model.insert(key.clone(), value));
+                    }
+                    (6, Some(key)) => {
+                        // Update, or a no-op replace with the same value.
+                        let value = if rng.below(2) == 0 {
+                            model[&key]
+                        } else {
+                            value
+                        };
+                        mst.insert(&key, value).unwrap();
+                        model.insert(key, value);
+                    }
+                    (7..=8, Some(key)) => {
+                        assert_eq!(mst.remove(&key), model.remove(&key));
+                    }
+                    (_, Some(key)) => {
+                        // Re-insert: remove and add back, same value or not.
+                        let old = mst.remove(&key).expect("present");
+                        let value = if rng.below(2) == 0 { old } else { value };
+                        mst.insert(&key, value).unwrap();
+                        model.insert(key, value);
+                    }
+                    (_, None) => {}
+                }
+            }
+            assert_eq!(mst.len(), model.len());
+            assert!(mst
+                .iter()
+                .map(|(k, v)| (k, *v))
+                .eq(model.iter().map(|(k, v)| (k.as_str(), *v))));
+            let commit = mst.commit();
+            let (root, nodes) = mst.build_with(true);
+            assert_eq!(commit.root, root);
+            assert_eq!(mst.root_and_blocks(), (root, nodes.clone()));
+            let after: std::collections::BTreeSet<Cid> = nodes.iter().map(|n| n.cid).collect();
+            let created: Vec<MstNode> = nodes
+                .iter()
+                .filter(|n| !before.contains(&n.cid))
+                .cloned()
+                .collect();
+            assert_eq!(commit.created, created);
+            let removed: Vec<Cid> = before.difference(&after).copied().collect();
+            assert_eq!(commit.removed, removed);
+            before = after;
+            top_layer = top_layer.max(mst.root.layer);
+            max_len = max_len.max(mst.len());
+        }
+        assert!(drained >= 1, "the tree must empty and refill");
+        assert!(
+            max_len >= max_keys / 2,
+            "the tree must grow large: {max_len}"
+        );
+        assert!(top_layer >= 3, "keys on higher layers must be covered");
+    }
+
+    #[test]
+    fn incremental_mst_matches_full_rebuild() {
+        incremental_tree_matches_rebuild(0x3571, 300, 160);
+    }
+
+    #[test]
+    #[ignore = "heavy: run with --release -- --ignored mst"]
+    fn incremental_mst_matches_full_rebuild_heavy() {
+        incremental_tree_matches_rebuild(0x3572, 2_000, 5_000);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::crypto::{Signature, SigningKey};
 use crate::datetime::Datetime;
 use crate::did::Did;
 use crate::error::{AtError, Result};
-use crate::mst::Mst;
+use crate::mst::{Mst, MstCommit};
 use crate::nsid::Nsid;
 use crate::record::Record;
 use crate::tid::{Tid, TidClock};
@@ -296,7 +296,9 @@ pub struct Repository {
     /// Every MST node CID currently in the store (live nodes plus nodes
     /// superseded since the last compaction).
     stored_node_cids: std::collections::BTreeSet<Cid>,
-    /// Node CIDs of the live tree as of the latest commit.
+    /// Node CIDs of the live tree as of the latest commit, kept in step
+    /// with each commit's node churn (the nodes [`Mst::commit`] reports
+    /// created and removed), never rebuilt from the whole tree.
     current_node_cids: std::collections::BTreeSet<Cid>,
     clock: TidClock,
 }
@@ -372,6 +374,12 @@ impl Repository {
     /// historical).
     pub fn store_size(&self) -> usize {
         self.record_bytes
+    }
+
+    /// MST node blocks encoded over the repository's lifetime — the
+    /// deterministic work counter of the commit path.
+    pub fn mst_nodes_encoded(&self) -> u64 {
+        self.mst.nodes_encoded()
     }
 
     /// Residency/spill statistics of the backing block store (records and
@@ -547,26 +555,24 @@ impl Repository {
             .collect();
 
         let rev = self.clock.next(now);
-        // One materialisation serves both the commit's `data` pointer and
-        // the per-commit node log: nodes not live before this commit are the
-        // structural blocks a `getRepo(since)` delta must carry.
-        let (data, nodes) = self.mst.root_and_blocks();
-        let mut node_cids = Vec::new();
-        let mut live_nodes = std::collections::BTreeSet::new();
-        for node in nodes {
-            live_nodes.insert(node.cid);
-            if !self.current_node_cids.contains(&node.cid) {
-                node_cids.push(node.cid);
-                self.store.put(node.cid, node.bytes);
-                self.stored_node_cids.insert(node.cid);
-            }
+        // The tree reports only what this commit changed: the new nodes
+        // (children before parents) are the structural blocks a
+        // `getRepo(since)` delta must carry, and they alone reach the store.
+        let MstCommit {
+            root: data,
+            created,
+            removed: removed_node_cids,
+        } = self.mst.commit();
+        let mut node_cids = Vec::with_capacity(created.len());
+        for node in created {
+            node_cids.push(node.cid);
+            self.current_node_cids.insert(node.cid);
+            self.store.put(node.cid, node.bytes);
+            self.stored_node_cids.insert(node.cid);
         }
-        let removed_node_cids: Vec<Cid> = self
-            .current_node_cids
-            .difference(&live_nodes)
-            .copied()
-            .collect();
-        self.current_node_cids = live_nodes;
+        for cid in &removed_node_cids {
+            self.current_node_cids.remove(cid);
+        }
         let mut commit = Commit {
             did: self.did.clone(),
             version: 3,
@@ -620,21 +626,29 @@ impl Repository {
     /// `com.atproto.sync.getRepo`. Commits and record versions dropped by a
     /// compaction pass are gone from full exports too.
     pub fn export_car(&self) -> Vec<u8> {
-        let mut blocks: Vec<(Cid, Vec<u8>)> = Vec::new();
-        for commit in &self.commits {
-            let bytes = commit.to_cbor();
-            blocks.push((Cid::for_cbor(&bytes), bytes));
-        }
-        for node in self.mst.blocks() {
-            blocks.push((node.cid, node.bytes));
-        }
-        for cid in &self.record_cids {
-            if let Some(bytes) = self.store.get(cid) {
-                blocks.push((*cid, bytes));
-            }
-        }
+        let commits: Vec<(Cid, Vec<u8>)> = self
+            .commits
+            .iter()
+            .map(|commit| {
+                let bytes = commit.to_cbor();
+                (Cid::for_cbor(&bytes), bytes)
+            })
+            .collect();
+        // Node blocks are borrowed from the tree's caches, not copied.
+        let nodes = self.mst.node_blocks();
+        let record_cids: Vec<Cid> = self.record_cids.iter().copied().collect();
+        let records: Vec<(Cid, Vec<u8>)> = record_cids
+            .iter()
+            .zip(self.store.get_many(&record_cids))
+            .filter_map(|(cid, bytes)| Some((*cid, bytes?)))
+            .collect();
         let roots: Vec<Cid> = self.head_cid.into_iter().collect();
-        encode_car(&roots, blocks.iter().map(|(c, b)| (*c, b.as_slice())), None)
+        let blocks = commits
+            .iter()
+            .map(|(cid, bytes)| (*cid, bytes.as_slice()))
+            .chain(nodes.iter().map(|node| (node.cid, node.bytes.as_slice())))
+            .chain(records.iter().map(|(cid, bytes)| (*cid, bytes.as_slice())));
+        encode_car(&roots, blocks, None)
     }
 
     /// `com.atproto.sync.getRepo(did, since=rev)`: export only what a
@@ -677,6 +691,8 @@ impl Repository {
                 )),
             })?;
         let mut blocks: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
+        // Store blocks to ship, read in one bulk pass.
+        let mut wanted: Vec<Cid> = Vec::new();
         if index + 1 < self.commits.len() {
             blocks.insert(head_cid, head.to_cbor());
         }
@@ -698,19 +714,16 @@ impl Repository {
                     nodes_at_since.insert(*cid);
                 }
             }
-            for cid in self.current_node_cids.difference(&nodes_at_since) {
-                if let Some(bytes) = self.store.get(cid) {
-                    blocks.insert(*cid, bytes);
-                }
-            }
+            wanted.extend(self.current_node_cids.difference(&nodes_at_since));
         }
         for entry in &self.log[index + 1..] {
-            for cid in &entry.record_cids {
-                // Blocks purged by a garbage collection are skipped — the
-                // full export no longer carries them either.
-                if let Some(bytes) = self.store.get(cid) {
-                    blocks.insert(*cid, bytes);
-                }
+            wanted.extend(&entry.record_cids);
+        }
+        for (cid, bytes) in wanted.iter().zip(self.store.get_many(&wanted)) {
+            // Blocks purged by a garbage collection are skipped — the full
+            // export no longer carries them either.
+            if let Some(bytes) = bytes {
+                blocks.insert(*cid, bytes);
             }
         }
         Ok(encode_car(
@@ -1462,6 +1475,191 @@ mod tests {
         // And the store is byte-identical: the full export round-trips.
         assert_eq!(repo.export_car(), car_before);
         assert_eq!(repo.store_size(), size_before);
+    }
+
+    /// Each commit's node log must be the set difference of full tree
+    /// rebuilds before and after it, the new nodes in the rebuild's
+    /// post-order: they reach the store in that order, which fixes the
+    /// paged store's page layout and spill bytes.
+    #[test]
+    fn commit_node_log_matches_full_rebuild_difference() {
+        use std::collections::BTreeSet;
+        let mut repo = new_repo("tara");
+        let mut live: BTreeSet<Cid> = BTreeSet::new();
+        let mut check = |repo: &Repository| {
+            let (root, nodes) = repo.mst.build_with(true);
+            let after: BTreeSet<Cid> = nodes.iter().map(|n| n.cid).collect();
+            let entry = repo.log.last().expect("a commit");
+            let created: Vec<Cid> = nodes
+                .iter()
+                .map(|n| n.cid)
+                .filter(|cid| !live.contains(cid))
+                .collect();
+            assert_eq!(entry.node_cids, created);
+            let removed: Vec<Cid> = live.difference(&after).copied().collect();
+            assert_eq!(entry.removed_node_cids, removed);
+            assert_eq!(repo.head().expect("a commit").data, root);
+            assert_eq!(repo.current_node_cids, after);
+            live = after;
+        };
+        let write = |rkey: &str, text: &str, update: bool| {
+            let (collection, rkey, record) = (post_nsid(), rkey.to_string(), post(text));
+            match update {
+                false => Write::Create {
+                    collection,
+                    rkey,
+                    record,
+                },
+                true => Write::Update {
+                    collection,
+                    rkey,
+                    record,
+                },
+            }
+        };
+        let delete = |rkey: &str| Write::Delete {
+            collection: post_nsid(),
+            rkey: rkey.to_string(),
+        };
+        let rkeys: Vec<String> = (0..120)
+            .map(|i| format!("k{:04}", (i * 37) % 120))
+            .collect();
+        let mut t = 0;
+        let mut commit = |repo: &mut Repository, writes: &[Write]| {
+            t += 1;
+            repo.apply_writes(writes, now().plus_seconds(t))
+        };
+        // Growth in single writes and in batches, out of key order.
+        for chunk in rkeys.chunks(7) {
+            commit(&mut repo, &[write(&chunk[0], &chunk[0], false)]).unwrap();
+            check(&repo);
+            let batch: Vec<Write> = chunk[1..].iter().map(|k| write(k, k, false)).collect();
+            if !batch.is_empty() {
+                commit(&mut repo, &batch).unwrap();
+                check(&repo);
+            }
+        }
+        // Updates, a no-op update, deletes, a delete + re-add in one batch,
+        // a create + delete in one batch, and a failed batch.
+        commit(&mut repo, &[write(&rkeys[3], "edited", true)]).unwrap();
+        check(&repo);
+        commit(&mut repo, &[write(&rkeys[4], &rkeys[4], true)]).unwrap();
+        check(&repo);
+        commit(&mut repo, &[delete(&rkeys[5]), delete(&rkeys[6])]).unwrap();
+        check(&repo);
+        commit(
+            &mut repo,
+            &[delete(&rkeys[7]), write(&rkeys[7], "again", false)],
+        )
+        .unwrap();
+        check(&repo);
+        commit(
+            &mut repo,
+            &[write("transient", "x", false), delete("transient")],
+        )
+        .unwrap();
+        check(&repo);
+        let failed = [delete(&rkeys[8]), write(&rkeys[9], "dup", false)];
+        assert!(commit(&mut repo, &failed).is_err());
+        commit(&mut repo, &[write(&rkeys[10], "after failure", true)]).unwrap();
+        check(&repo);
+        // Drain to the empty tree (its root is the empty node), then refill.
+        let remaining: Vec<String> = repo.mst.iter().map(|(k, _)| k.to_string()).collect();
+        for chunk in remaining.chunks(16) {
+            let batch: Vec<Write> = chunk
+                .iter()
+                .map(|key| delete(key.split_once('/').expect("key").1))
+                .collect();
+            commit(&mut repo, &batch).unwrap();
+            check(&repo);
+        }
+        assert_eq!(repo.record_count(), 0);
+        for rkey in rkeys.iter().take(10) {
+            commit(&mut repo, &[write(rkey, "refill", false)]).unwrap();
+            check(&repo);
+        }
+    }
+
+    /// The commit path re-encodes only the touched root-to-leaf path; a
+    /// no-op replace and a failed, rolled-back batch encode nothing.
+    #[test]
+    fn mst_work_per_commit_stays_on_the_touched_path() {
+        use crate::blockstore::{CountingStore, MemStore};
+        let did = Did::plc_from_seed(b"ursula");
+        let (store, totals) = CountingStore::new(Box::new(MemStore::new()));
+        let mut repo = Repository::with_store(did, b"network-secret", Box::new(store));
+        let mut per_commit = Vec::new();
+        let mut rkeys = Vec::new();
+        for i in 0..2_000 {
+            let encoded = repo.mst_nodes_encoded();
+            let (rkey, _) = repo
+                .create_record(
+                    post_nsid(),
+                    post(&format!("post {i}")),
+                    now().plus_seconds(i),
+                )
+                .unwrap();
+            per_commit.push(repo.mst_nodes_encoded() - encoded);
+            rkeys.push(rkey);
+        }
+        assert_eq!(repo.record_count(), 2_000);
+        per_commit.sort_unstable();
+        let median = per_commit[per_commit.len() / 2];
+        assert!(median <= 8, "median nodes encoded per commit: {median}");
+
+        // A no-op replace: same record, same tree.
+        let (encoded, puts, root) = (repo.mst_nodes_encoded(), totals.puts(), repo.mst.root_cid());
+        repo.apply_writes(
+            &[Write::Update {
+                collection: post_nsid(),
+                rkey: rkeys[7].clone(),
+                record: post("post 7"),
+            }],
+            now().plus_seconds(3_000),
+        )
+        .unwrap();
+        assert_eq!(repo.mst_nodes_encoded(), encoded);
+        assert_eq!(totals.puts(), puts);
+        assert_eq!(repo.head().unwrap().data, root);
+        let entry = repo.log.last().unwrap();
+        assert!(entry.node_cids.is_empty() && entry.removed_node_cids.is_empty());
+
+        // A failed batch rolls back without encoding; the next commit puts
+        // only its own new path.
+        let (puts, deletes) = (totals.puts(), totals.deletes());
+        let failed = repo.apply_writes(
+            &[
+                Write::Delete {
+                    collection: post_nsid(),
+                    rkey: rkeys[100].clone(),
+                },
+                Write::Create {
+                    collection: post_nsid(),
+                    rkey: "fresh789".into(),
+                    record: post("rolled back"),
+                },
+                Write::Create {
+                    collection: post_nsid(),
+                    rkey: rkeys[5].clone(),
+                    record: post("conflicts"),
+                },
+            ],
+            now().plus_seconds(3_001),
+        );
+        assert!(failed.is_err());
+        assert_eq!(repo.mst_nodes_encoded(), encoded);
+        assert_eq!(totals.puts() - puts, totals.deletes() - deletes);
+        assert_eq!(repo.mst.root_cid(), root, "the rollback restored the tree");
+        let puts = totals.puts();
+        repo.create_record(post_nsid(), post("after"), now().plus_seconds(3_002))
+            .unwrap();
+        let entry = repo.log.last().unwrap();
+        assert_eq!(
+            totals.puts() - puts,
+            1 + entry.node_cids.len() as u64,
+            "the record plus its new path nodes"
+        );
+        assert!(entry.node_cids.len() <= 8);
     }
 
     #[test]
